@@ -125,15 +125,40 @@ pub fn from_str<T: Deserialize>(text: &str) -> Result<T, Error> {
 // Parser
 // ---------------------------------------------------------------------------
 
+/// Maximum `[` / `{` nesting depth [`from_str`] accepts; one level deeper
+/// is an [`Error`] ("nesting too deep at byte N"), never a stack overflow.
+///
+/// The parser recurses once per level, and so do dropping, cloning and
+/// printing the resulting [`Value`] tree, so the cap bounds every recursive
+/// consumer. It sits between two measured figures:
+///
+/// * **Above** the deepest document this workspace writes. A certificate
+///   snapshot nests two levels per branch-and-bound split plus a few
+///   envelope levels, and the deepest split chain is bounded by the ReLU
+///   count of the largest zoo model (CIFAR-10_DEEP, 736 ReLUs): at most
+///   ~1,480 levels.
+/// * **Below** what fits on a default 2 MiB spawned thread, which is what
+///   each `serve --tcp` connection runs on. Parsing is the deepest of those
+///   consumers: parse plus print, clone and drop of an `[`-chain fit there
+///   up to ~4,200 levels in the test profile (~500 B of stack per level)
+///   and ~7,200 in release, so the cap leaves half the stack to the
+///   caller's own frames. The `nesting_cap_fits_a_default_thread_stack`
+///   test pins the cap end.
+pub const MAX_DEPTH: usize = 2048;
+
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
+    depth: usize,
 }
 
 fn parse_value(text: &str) -> Result<Value, Error> {
     let mut p = Parser {
+        text,
         bytes: text.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     p.skip_ws();
     let v = p.value()?;
@@ -146,7 +171,11 @@ fn parse_value(text: &str) -> Result<Value, Error> {
 
 impl<'a> Parser<'a> {
     fn err(&self, msg: &str) -> Error {
-        Error::new(format!("{msg} at byte {}", self.pos))
+        self.err_at(self.pos, msg)
+    }
+
+    fn err_at(&self, pos: usize, msg: &str) -> Error {
+        Error::new(format!("{msg} at byte {pos}"))
     }
 
     fn peek(&self) -> Option<u8> {
@@ -183,11 +212,23 @@ impl<'a> Parser<'a> {
             Some(b't') => self.keyword("true", Value::Bool(true)),
             Some(b'f') => self.keyword("false", Value::Bool(false)),
             Some(b'"') => self.string().map(Value::String),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[') => self.nested(Self::array),
+            Some(b'{') => self.nested(Self::object),
             Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
             _ => Err(self.err("expected a JSON value")),
         }
+    }
+
+    /// Parses one array or object one level deeper, refusing to pass
+    /// [`MAX_DEPTH`].
+    fn nested(&mut self, parse: fn(&mut Self) -> Result<Value, Error>) -> Result<Value, Error> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.err("nesting too deep"));
+        }
+        self.depth += 1;
+        let v = parse(self)?;
+        self.depth -= 1;
+        Ok(v)
     }
 
     fn array(&mut self) -> Result<Value, Error> {
@@ -245,13 +286,23 @@ impl<'a> Parser<'a> {
         self.expect(b'"')?;
         let mut out = String::new();
         loop {
+            // Copy the run up to the next quote or backslash in one go. The
+            // input is a `&str` and both stop bytes are ASCII, so every run
+            // starts and ends on a char boundary.
+            let run = self.bytes[self.pos..]
+                .iter()
+                .position(|&b| b == b'"' || b == b'\\')
+                .unwrap_or(self.bytes.len() - self.pos);
+            out.push_str(&self.text[self.pos..self.pos + run]);
+            self.pos += run;
             match self.peek() {
                 None => return Err(self.err("unterminated string")),
                 Some(b'"') => {
                     self.pos += 1;
                     return Ok(out);
                 }
-                Some(b'\\') => {
+                _ => {
+                    // A backslash: one escape sequence.
                     self.pos += 1;
                     match self.peek() {
                         Some(b'"') => out.push('"'),
@@ -264,49 +315,50 @@ impl<'a> Parser<'a> {
                         Some(b't') => out.push('\t'),
                         Some(b'u') => {
                             self.pos += 1;
-                            let hi = self.hex4()?;
-                            let code = if (0xD800..0xDC00).contains(&hi) {
-                                // Surrogate pair.
-                                if self.bytes[self.pos..].starts_with(b"\\u") {
-                                    self.pos += 2;
-                                    let lo = self.hex4()?;
-                                    0x10000 + ((hi - 0xD800) << 10) + (lo - 0xDC00)
-                                } else {
-                                    return Err(self.err("lone surrogate"));
-                                }
-                            } else {
-                                hi
-                            };
-                            out.push(
-                                char::from_u32(code)
-                                    .ok_or_else(|| self.err("invalid unicode escape"))?,
-                            );
+                            out.push(self.unicode_escape()?);
                             continue;
                         }
                         _ => return Err(self.err("invalid escape")),
                     }
                     self.pos += 1;
                 }
-                Some(_) => {
-                    // Consume one UTF-8 character (input is a &str, so
-                    // boundaries are valid).
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| self.err("invalid utf-8"))?;
-                    let ch = rest.chars().next().expect("peeked non-empty");
-                    out.push(ch);
-                    self.pos += ch.len_utf8();
-                }
             }
         }
+    }
+
+    /// Decodes the code point of a `\u` escape whose four hex digits start
+    /// at `pos`, joining a high surrogate with the low-surrogate escape
+    /// that must follow it.
+    fn unicode_escape(&mut self) -> Result<char, Error> {
+        let hi = self.hex4()?;
+        let code = if (0xD800..0xDC00).contains(&hi) {
+            if !self.bytes[self.pos..].starts_with(b"\\u") {
+                return Err(self.err("lone surrogate"));
+            }
+            let lo_at = self.pos;
+            self.pos += 2;
+            let lo = self.hex4()?;
+            if !(0xDC00..0xE000).contains(&lo) {
+                return Err(self.err_at(lo_at, "invalid surrogate pair"));
+            }
+            0x10000 + ((hi - 0xD800) << 10) + (lo - 0xDC00)
+        } else {
+            hi
+        };
+        char::from_u32(code).ok_or_else(|| self.err("invalid unicode escape"))
     }
 
     fn hex4(&mut self) -> Result<u32, Error> {
         if self.pos + 4 > self.bytes.len() {
             return Err(self.err("truncated unicode escape"));
         }
-        let text = std::str::from_utf8(&self.bytes[self.pos..self.pos + 4])
-            .map_err(|_| self.err("invalid unicode escape"))?;
-        let code = u32::from_str_radix(text, 16).map_err(|_| self.err("invalid unicode escape"))?;
+        let mut code = 0;
+        for &digit in &self.bytes[self.pos..self.pos + 4] {
+            let Some(value) = char::from(digit).to_digit(16) else {
+                return Err(self.err("invalid unicode escape"));
+            };
+            code = (code << 4) | value;
+        }
         self.pos += 4;
         Ok(code)
     }
@@ -445,6 +497,154 @@ mod tests {
         // And we can parse foreign \u escapes, including surrogate pairs.
         let parsed: String = from_str(r#""A😀""#).unwrap();
         assert_eq!(parsed, "A\u{1F600}");
+        let parsed: String = from_str(r#""\u0041\ud83d\ude00\u00e9""#).unwrap();
+        assert_eq!(parsed, "A\u{1F600}\u{e9}");
+    }
+
+    #[test]
+    fn high_surrogate_needs_a_low_surrogate_escape() {
+        // A high surrogate must be followed by a `\u` escape in DC00–DFFF;
+        // anything else once decoded to a wrong code point (or overflowed).
+        for (text, at) in [
+            (r#""\ud800\u0041""#, 7),
+            (r#""\ud800\ue000""#, 7),
+            (r#""\ud800\ud800""#, 7),
+            (r#""x\udbff\uffff""#, 8),
+        ] {
+            let err = from_str::<String>(text).unwrap_err();
+            assert_eq!(
+                err.to_string(),
+                format!("invalid surrogate pair at byte {at}")
+            );
+        }
+        // The same rejection reaches a served request's id.
+        let err = from_str::<Value>(r#"{"id":"\ud800\u0041"}"#).unwrap_err();
+        assert_eq!(err.to_string(), "invalid surrogate pair at byte 13");
+        // Both ends of the low range still pair.
+        let lo: String = from_str(r#""\ud800\udc00""#).unwrap();
+        assert_eq!(lo, "\u{10000}");
+        let hi: String = from_str(r#""\udbff\udfff""#).unwrap();
+        assert_eq!(hi, "\u{10FFFF}");
+    }
+
+    #[test]
+    fn malformed_strings_keep_their_error_text_and_offset() {
+        let cases: &[(&str, &str)] = &[
+            (r#""abc"#, "unterminated string at byte 4"),
+            (r#""\x""#, "invalid escape at byte 2"),
+            (r#""\u12""#, "truncated unicode escape at byte 3"),
+            (r#""\u12G4""#, "invalid unicode escape at byte 3"),
+            (r#""\ud800""#, "lone surrogate at byte 7"),
+            (r#""\ud800x""#, "lone surrogate at byte 7"),
+            (r#""\ud800\u12""#, "truncated unicode escape at byte 9"),
+            (r#""\udc00""#, "invalid unicode escape at byte 7"),
+            ("\"é\\q\"", "invalid escape at byte 4"),
+            ("\"日本", "unterminated string at byte 7"),
+            (r#""abc\"#, "invalid escape at byte 5"),
+            (r#""\u00e9"#, "unterminated string at byte 7"),
+            (r#"{"a\"#, "invalid escape at byte 4"),
+            (r#"{"k":1,"bad\z":2}"#, "invalid escape at byte 12"),
+            (r#"["ok", "bad\z"]"#, "invalid escape at byte 12"),
+            ("\"\\u00e9\u{1F600}\\", "invalid escape at byte 12"),
+            (r#"{"a" 1}"#, "expected `:` at byte 5"),
+            (r#"{1:2}"#, "expected `\"` at byte 1"),
+        ];
+        for (text, want) in cases {
+            let err = from_str::<Value>(text).unwrap_err();
+            assert_eq!(err.to_string(), *want, "input {text:?}");
+        }
+        // A sign is not a hex digit (`from_str_radix` would take `+041`).
+        let err = from_str::<Value>(r#""\u+041""#).unwrap_err();
+        assert_eq!(err.to_string(), "invalid unicode escape at byte 3");
+    }
+
+    /// Runs `f` on a thread with the 2 MiB stack std gives spawned threads
+    /// by default (what each `serve --tcp` connection runs on).
+    fn on_default_thread_stack<T: Send + 'static>(f: impl FnOnce() -> T + Send + 'static) -> T {
+        std::thread::Builder::new()
+            .stack_size(2 << 20)
+            .spawn(f)
+            .unwrap()
+            .join()
+            .unwrap()
+    }
+
+    #[test]
+    fn nesting_cap_fits_a_default_thread_stack() {
+        on_default_thread_stack(|| {
+            for open in ["[", "{\"k\":"] {
+                let close = if open == "[" { "]" } else { "}" };
+                let at_cap = format!("{}0{}", open.repeat(MAX_DEPTH), close.repeat(MAX_DEPTH));
+                let v: Value = from_str(&at_cap).unwrap();
+                assert_eq!(v.to_string(), at_cap);
+                drop(v);
+                let over = format!(
+                    "{}0{}",
+                    open.repeat(MAX_DEPTH + 1),
+                    close.repeat(MAX_DEPTH + 1)
+                );
+                let err = from_str::<Value>(&over).unwrap_err();
+                let at = MAX_DEPTH * open.len();
+                assert_eq!(err.to_string(), format!("nesting too deep at byte {at}"));
+            }
+            // Far past any stack: still a structured error.
+            let err = from_str::<Value>(&"[".repeat(200_000)).unwrap_err();
+            assert_eq!(
+                err.to_string(),
+                format!("nesting too deep at byte {MAX_DEPTH}")
+            );
+        });
+    }
+
+    #[test]
+    fn nesting_depth_is_per_path_not_per_document() {
+        // Many sibling containers at the cap are fine: depth is unwound
+        // on every close.
+        let deep = format!("{}{}", "[".repeat(MAX_DEPTH - 1), "]".repeat(MAX_DEPTH - 1));
+        let text = format!("[{deep},{deep},{deep}]");
+        assert!(from_str::<Value>(&text).is_ok());
+    }
+
+    mod props {
+        use super::super::*;
+        use proptest::prelude::*;
+
+        /// Pieces a generated string is built from: multi-byte chars,
+        /// characters the writer escapes, and control characters, so that
+        /// every one of them lands next to quotes and backslashes.
+        #[rustfmt::skip]
+        const PIECES: &[&str] = &[
+            "a", "Z", " ", "\"", "\\", "/", "\\u", "\\\"", "\"\\", "\n", "\r", "\t",
+            "\u{0}", "\u{1}", "\u{8}", "\u{c}", "\u{1f}", "\u{7f}", "é", "日本",
+            "\u{1F600}", "\u{2028}", "\u{FFFF}", "\u{10FFFF}", "\u{D7FF}", "\u{E000}",
+        ];
+
+        fn text() -> impl Strategy<Value = String> {
+            proptest::collection::vec(0..PIECES.len(), 0..48)
+                .prop_map(|ix| ix.into_iter().map(|i| PIECES[i]).collect())
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(512))]
+
+            #[test]
+            fn written_strings_parse_back_exactly(s in text(), key in text()) {
+                let mut json = String::new();
+                write_json_string(&s, &mut json);
+                let back: String = from_str(&json).unwrap();
+                prop_assert_eq!(back.as_bytes(), s.as_bytes());
+
+                // Also as an object key and inside an array.
+                let v = Value::Object(vec![(
+                    key.clone(),
+                    Value::Array(vec![Value::String(s.clone()), Value::String(key.clone())]),
+                )]);
+                let compact: Value = from_str(&v.to_string()).unwrap();
+                prop_assert_eq!(&compact, &v);
+                let pretty: Value = from_str(&to_string_pretty(&v).unwrap()).unwrap();
+                prop_assert_eq!(&pretty, &v);
+            }
+        }
     }
 
     #[test]

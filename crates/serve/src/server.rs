@@ -19,6 +19,7 @@ use abonn_check::{audit_certificate, replay_witness};
 use abonn_core::{RobustnessProblem, Verdict, WorkerPool};
 use abonn_vnnlib::Property;
 use serde_json::Value;
+use std::borrow::Cow;
 use std::io::{self, BufReader, Read, Write};
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -240,10 +241,12 @@ impl Server {
         Ok((model, plan))
     }
 
+    /// Resolves a request's model: source text byte-equal to a cached
+    /// entry's source is that entry; any other text is parsed, hashed and
+    /// admitted.
     fn resolve_model(&mut self, model: &ModelRef) -> Result<(u64, Arc<LoweredModel>), String> {
-        let network = match model {
-            ModelRef::Inline(text) => abonn_nn::io::from_json(text)
-                .map_err(|e| format!("invalid model: {e}"))?,
+        let source: Cow<'_, str> = match model {
+            ModelRef::Inline(text) => Cow::Borrowed(text),
             ModelRef::Named(name) => {
                 if name.contains('/') || name.contains('\\') || name.contains("..") {
                     return Err(format!("invalid model name '{name}'"));
@@ -253,11 +256,22 @@ impl Server {
                         "unknown model '{name}': no model directory configured"
                     ));
                 };
-                abonn_nn::io::load_network(&dir.join(name))
-                    .map_err(|e| format!("unknown model '{name}': {e}"))?
+                Cow::Owned(
+                    std::fs::read_to_string(dir.join(name))
+                        .map_err(|e| format!("unknown model '{name}': {e}"))?,
+                )
             }
         };
-        self.models.admit(network).map_err(|e| format!("model does not lower: {e}"))
+        if let Some(hit) = self.models.get_by_source(&source) {
+            return Ok(hit);
+        }
+        let network = abonn_nn::io::from_json(&source).map_err(|e| match model {
+            ModelRef::Inline(_) => format!("invalid model: {e}"),
+            ModelRef::Named(name) => format!("unknown model '{name}': {e}"),
+        })?;
+        self.models
+            .admit(network, source.into_owned())
+            .map_err(|e| format!("model does not lower: {e}"))
     }
 
     fn plan_query(
@@ -606,6 +620,11 @@ mod tests {
     use abonn_vnnlib::write_robustness;
 
     fn demo_net() -> Network {
+        demo_net_shifted(0.0)
+    }
+
+    /// The demo net with `shift` added to its first output bias.
+    fn demo_net_shifted(shift: f64) -> Network {
         // 2 → ReLU(4) → 3, small enough to verify in a handful of calls.
         Network::new(
             Shape::Flat(2),
@@ -626,7 +645,7 @@ mod tests {
                         &[-0.4, 1.1, 0.2, -0.2],
                         &[0.3, -0.5, 0.9, 0.4],
                     ]),
-                    vec![0.05, 0.0, -0.05],
+                    vec![0.05 + shift, 0.0, -0.05],
                 ),
             ],
         )
@@ -781,5 +800,123 @@ mod tests {
             String::from_utf8(batch_out).unwrap(),
             "greedy waves must not change a single byte"
         );
+    }
+
+    /// A fresh, empty directory for one test's model files.
+    fn model_dir(test: &str) -> PathBuf {
+        let dir = std::env::temp_dir().join(format!("abonn-serve-{test}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        dir
+    }
+
+    fn model_counters(server: &Server) -> (usize, usize) {
+        let c = server.models.counters();
+        (c.hits, c.misses)
+    }
+
+    #[test]
+    fn rewritten_model_file_is_parsed_again() {
+        let dir = model_dir("rewrite");
+        let path = dir.join("m.json");
+        abonn_nn::io::save_network(&demo_net(), &path).unwrap();
+        let mut server = Server::new(ServerConfig {
+            model_dir: Some(dir.clone()),
+            ..ServerConfig::default()
+        });
+        let line = verify_line(1, "\"m.json\"", &[0.6, 0.4], 0.02, 0);
+        let first = server.handle_line(&line).unwrap();
+        assert!(first.contains("\"store\":\"miss\""), "got: {first}");
+        let again = server.handle_line(&line).unwrap();
+        assert!(again.contains("\"store\":\"exact\""), "got: {again}");
+        assert_eq!(model_counters(&server), (1, 1));
+
+        // Same name, new bytes: a new content hash, so a model miss and a
+        // fresh engine run rather than the first file's stored answer.
+        abonn_nn::io::save_network(&demo_net_shifted(0.25), &path).unwrap();
+        let rewritten = server.handle_line(&line).unwrap();
+        assert!(rewritten.contains("\"store\":\"miss\""), "got: {rewritten}");
+        assert!(!rewritten.contains("\"appver_calls\":0"), "got: {rewritten}");
+        assert_eq!(model_counters(&server), (1, 2));
+        let _ = std::fs::remove_dir_all(dir);
+    }
+
+    #[test]
+    fn respelled_models_share_their_hash_and_store_entries() {
+        let dir = model_dir("respell");
+        let pretty = abonn_nn::io::to_json(&demo_net()).unwrap();
+        std::fs::write(dir.join("pretty.json"), &pretty).unwrap();
+        let mut server = Server::new(ServerConfig {
+            model_dir: Some(dir.clone()),
+            ..ServerConfig::default()
+        });
+        let compact = serde_json::to_string(&demo_net()).unwrap();
+        let first = server
+            .handle_line(&verify_line(1, &compact, &[0.6, 0.4], 0.02, 0))
+            .unwrap();
+        assert!(first.contains("\"store\":\"miss\""), "got: {first}");
+        // The inline model reformatted with whitespace: the protocol
+        // re-serialises it, so its source is byte-equal and a hit.
+        let spaced = pretty.replace('\n', " ");
+        let second = server
+            .handle_line(&verify_line(2, &spaced, &[0.6, 0.4], 0.02, 0))
+            .unwrap();
+        assert!(second.contains("\"store\":\"exact\""), "got: {second}");
+        assert_eq!(model_counters(&server), (1, 1));
+        // The pretty file is other bytes: parsed, but the same content
+        // hash, so the same model entry and the same store family.
+        let third = server
+            .handle_line(&verify_line(3, "\"pretty.json\"", &[0.6, 0.4], 0.02, 0))
+            .unwrap();
+        assert!(third.contains("\"store\":\"exact\""), "got: {third}");
+        assert_eq!(model_counters(&server), (2, 1));
+        assert_eq!(server.models.len(), 1);
+        let _ = std::fs::remove_dir_all(dir);
+    }
+
+    #[test]
+    fn too_deep_line_is_an_error_and_the_session_continues() {
+        let cap = serde_json::MAX_DEPTH;
+        let nest = |depth: usize| format!("{}{}", "[".repeat(depth), "]".repeat(depth));
+        let model_json = abonn_nn::io::to_json(&demo_net()).unwrap().replace('\n', " ");
+        let session = [
+            "[".repeat(10_000),
+            // At the cap: parses, then is refused field by field.
+            format!(r#"{{"id":1,"cmd":"stats","pad":{}}}"#, nest(cap - 1)),
+            format!(
+                r#"{{"id":2,"cmd":"verify","model":{{"a":{}}},"property":"(p)"}}"#,
+                nest(cap - 2)
+            ),
+            verify_line(3, &model_json, &[0.6, 0.4], 0.02, 0),
+        ]
+        .join("\n")
+            + "\n";
+        // Each `serve --tcp` connection runs on a default 2 MiB thread.
+        let out = std::thread::Builder::new()
+            .stack_size(2 << 20)
+            .spawn(move || {
+                let mut server = Server::new(ServerConfig::default());
+                let mut out = Vec::new();
+                let mut input = BufReader::new(session.as_bytes());
+                server.run(&mut input, &mut out).unwrap();
+                String::from_utf8(out).unwrap()
+            })
+            .unwrap()
+            .join()
+            .unwrap();
+        let lines: Vec<&str> = out.lines().collect();
+        assert_eq!(lines.len(), 4, "one response per line: {out}");
+        assert_eq!(
+            lines[0],
+            format!(
+                r#"{{"id":null,"status":"error","error":"invalid JSON: nesting too deep at byte {cap}"}}"#
+            )
+        );
+        assert_eq!(
+            lines[1],
+            r#"{"id":1,"status":"error","error":"unknown field 'pad'"}"#
+        );
+        assert!(lines[2].starts_with(r#"{"id":2,"status":"error","error":"invalid model: "#));
+        assert!(lines[3].contains(r#""status":"ok""#), "got: {}", lines[3]);
     }
 }

@@ -11,6 +11,12 @@ cargo build --release
 echo "== tier 1: tests =="
 cargo test -q
 
+echo "== workspace tests: every member crate's unit, property and e2e tests =="
+# A bare `cargo test` covers only the root package; --workspace adds the
+# compat shims' unit tests, abonn-serve's property tests and the serve
+# end-to-end goldens in crates/bench/tests.
+cargo test --release -q --workspace
+
 echo "== lints: abonn-lint determinism & soundness gate (baseline-aware) =="
 # Hard gate: exits non-zero on any finding not grandfathered by the
 # committed lint-baseline.json. The JSON and SARIF reports are kept as
@@ -157,6 +163,28 @@ test -s "$outsv/store.json"
     --store-stats "$outsv/warm-stats.json" \
     < scripts/serve-session.jsonl > /dev/null 2>/dev/null
 grep -Eq '"appver_calls_total": *0' "$outsv/warm-stats.json"
+
+echo "== serve: a hostile session gets structured errors over stdin and TCP =="
+# Too-deep nesting, a bad surrogate pair and a 100 KB string, then a normal
+# query: each draws one error line and the daemon keeps serving. The TCP
+# leg runs on a per-connection thread with the default 2 MiB stack.
+./target/release/serve --threads 2 \
+    < scripts/serve-hostile.jsonl > "$outsv/hostile.out" 2>/dev/null
+diff scripts/serve-hostile.golden "$outsv/hostile.out"
+./target/release/serve --threads 2 --tcp 127.0.0.1:0 2> "$outsv/hostile-daemon.log" &
+daemon_pid=$!
+addr=""
+for _ in $(seq 1 100); do
+    addr=$(sed -n 's/^listening on \([^ ]*\).*/\1/p' "$outsv/hostile-daemon.log" | head -n1)
+    [ -n "$addr" ] && break
+    sleep 0.1
+done
+test -n "$addr"
+./target/release/serve_client --addr "$addr" scripts/serve-hostile.jsonl \
+    > "$outsv/hostile-tcp.out"
+kill "$daemon_pid" 2>/dev/null || true
+wait "$daemon_pid" 2>/dev/null || true
+diff scripts/serve-hostile.golden "$outsv/hostile-tcp.out"
 rm -rf "$outsv"
 
 # The LP replay over the 3072-input conv models costs minutes per
