@@ -286,12 +286,13 @@ impl<'a> Parser<'a> {
         self.expect(b'"')?;
         let mut out = String::new();
         loop {
-            // Copy the run up to the next quote or backslash in one go. The
-            // input is a `&str` and both stop bytes are ASCII, so every run
-            // starts and ends on a char boundary.
+            // Copy the run up to the next quote, backslash or control
+            // character in one go. The input is a `&str` and every stop
+            // byte is ASCII, so every run starts and ends on a char
+            // boundary.
             let run = self.bytes[self.pos..]
                 .iter()
-                .position(|&b| b == b'"' || b == b'\\')
+                .position(|&b| b == b'"' || b == b'\\' || b < 0x20)
                 .unwrap_or(self.bytes.len() - self.pos);
             out.push_str(&self.text[self.pos..self.pos + run]);
             self.pos += run;
@@ -301,6 +302,8 @@ impl<'a> Parser<'a> {
                     self.pos += 1;
                     return Ok(out);
                 }
+                // JSON admits U+0000–U+001F only as escapes.
+                Some(b) if b < 0x20 => return Err(self.err("control character in string")),
                 _ => {
                     // A backslash: one escape sequence.
                     self.pos += 1;
@@ -548,6 +551,12 @@ mod tests {
             ("\"\\u00e9\u{1F600}\\", "invalid escape at byte 12"),
             (r#"{"a" 1}"#, "expected `:` at byte 5"),
             (r#"{1:2}"#, "expected `\"` at byte 1"),
+            ("\"a\u{1}b\"", "control character in string at byte 2"),
+            ("\"\u{0}\"", "control character in string at byte 1"),
+            ("\"tab\there\"", "control character in string at byte 4"),
+            ("\"é\n\"", "control character in string at byte 3"),
+            ("{\"k\u{1f}\":1}", "control character in string at byte 3"),
+            ("\"\\n\u{7}\"", "control character in string at byte 3"),
         ];
         for (text, want) in cases {
             let err = from_str::<Value>(text).unwrap_err();

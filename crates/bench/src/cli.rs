@@ -26,12 +26,6 @@ pub struct Args {
     /// by default; `--no-warm-start` disables it for A/B equivalence
     /// checks. Reports are byte-identical regardless of this value.
     pub warm_start: bool,
-    /// Run on the reference substrate: naive rolled tensor kernels and
-    /// the dense-tableau simplex instead of the tiled kernels and the
-    /// revised engine. Off by default; `--reference-kernels` enables it
-    /// for A/B equivalence checks. Reports are byte-identical regardless
-    /// of this value.
-    pub reference_kernels: bool,
 }
 
 impl Default for Args {
@@ -44,7 +38,6 @@ impl Default for Args {
             threads: abonn_core::pool::default_threads(),
             bound_cache: true,
             warm_start: true,
-            reference_kernels: false,
         }
     }
 }
@@ -84,12 +77,10 @@ impl Args {
                 }
                 "--no-bound-cache" => args.bound_cache = false,
                 "--no-warm-start" => args.warm_start = false,
-                "--reference-kernels" => args.reference_kernels = true,
                 "--help" | "-h" => {
                     return Err(
                         "usage: [--scale smoke|default|full] [--seed N] [--out-dir DIR] \
-                         [--fresh] [--threads N] [--no-bound-cache] [--no-warm-start] \
-                         [--reference-kernels]"
+                         [--fresh] [--threads N] [--no-bound-cache] [--no-warm-start]"
                             .into(),
                     )
                 }
@@ -112,15 +103,6 @@ impl Args {
                 std::process::exit(2);
             }
         }
-    }
-
-    /// Installs the selected compute substrate process-wide (tensor
-    /// kernels and LP pivot engine together — the `--reference-kernels`
-    /// flag means "the whole pre-optimization substrate"). Call once at
-    /// the top of each binary's `main`, right after parsing.
-    pub fn apply_substrate(&self) {
-        abonn_tensor::set_reference_kernels(self.reference_kernels);
-        abonn_lp::set_reference_solver(self.reference_kernels);
     }
 }
 
@@ -154,14 +136,6 @@ mod tests {
         let a = parse(&["--no-warm-start"]).unwrap();
         assert!(!a.warm_start);
         assert!(a.bound_cache, "warm-start flag must not affect bound cache");
-    }
-
-    #[test]
-    fn reference_kernels_flag_selects_the_reference_substrate() {
-        let a = parse(&["--reference-kernels"]).unwrap();
-        assert!(a.reference_kernels);
-        assert!(!parse(&[]).unwrap().reference_kernels, "defaults to optimized");
-        assert!(a.bound_cache && a.warm_start, "substrate flag must not affect A/B toggles");
     }
 
     #[test]

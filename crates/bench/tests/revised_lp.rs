@@ -3,9 +3,9 @@
 //!
 //! Drives the BaB baseline with the exact triangle-LP relaxation as its
 //! `AppVer` on calibrated MNIST instances, once on the revised engine
-//! (the default substrate) and once on the dense-tableau engine
-//! (`--reference-kernels`), and asserts — on call-based counters only,
-//! never wall time — that:
+//! (what `Problem::solve` runs) and once on the dense-tableau oracle
+//! (`LpVerifier::with_dense_oracle`), and asserts — on call-based
+//! counters only, never wall time — that:
 //!
 //! * verdicts, search shape, and pivot sequences are identical (the
 //!   engines walk the same pivot paths; only the per-pivot work
@@ -18,11 +18,10 @@ use abonn_bound::LpVerifier;
 use abonn_core::heuristics::HeuristicKind;
 use abonn_core::{BabBaseline, Budget, RobustnessProblem, RunResult, Verifier, WorkerPool};
 use abonn_data::zoo::ModelKind;
-use abonn_lp::set_reference_solver;
 use std::sync::Arc;
 
-fn run_lp_bab(problem: &RobustnessProblem, budget: &Budget) -> RunResult {
-    let lp = LpVerifier::new().with_warm_start(true);
+fn run_lp_bab(lp: LpVerifier, problem: &RobustnessProblem, budget: &Budget) -> RunResult {
+    let lp = lp.with_warm_start(true);
     let mut bab = BabBaseline::new(HeuristicKind::DeepSplit, Arc::new(lp));
     bab.warm_start = true;
     bab.with_pool(Arc::new(WorkerPool::new(1)))
@@ -45,11 +44,8 @@ fn revised_simplex_cuts_pivot_cells_on_mnist() {
             instance.epsilon,
         )
         .expect("suite instances are valid specifications");
-        set_reference_solver(false);
-        let revised = run_lp_bab(&problem, &budget);
-        set_reference_solver(true);
-        let dense = run_lp_bab(&problem, &budget);
-        set_reference_solver(false);
+        let revised = run_lp_bab(LpVerifier::new(), &problem, &budget);
+        let dense = run_lp_bab(LpVerifier::new().with_dense_oracle(), &problem, &budget);
 
         // The engines must be interchangeable in every observable way
         // except the per-pivot work metric.

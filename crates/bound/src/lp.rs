@@ -59,6 +59,7 @@ use std::sync::Arc;
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct LpVerifier {
     warm_start: bool,
+    dense_oracle: bool,
 }
 
 impl Default for LpVerifier {
@@ -128,7 +129,10 @@ impl LpVerifier {
     /// Creates an LP verifier with warm starting enabled.
     #[must_use]
     pub fn new() -> Self {
-        Self { warm_start: true }
+        Self {
+            warm_start: true,
+            dense_oracle: false,
+        }
     }
 
     /// Enables or disables warm starting. Results are bit-identical either
@@ -136,6 +140,16 @@ impl LpVerifier {
     #[must_use]
     pub fn with_warm_start(mut self, warm_start: bool) -> Self {
         self.warm_start = warm_start;
+        self
+    }
+
+    /// Solves every LP of this instance on the dense-tableau oracle
+    /// ([`Problem::solve_dense`]) instead of the revised engine. A test
+    /// seam: results are bit-identical, only `lp_pivot_cells` differs.
+    #[doc(hidden)]
+    #[must_use]
+    pub fn with_dense_oracle(mut self) -> Self {
+        self.dense_oracle = true;
         self
     }
 
@@ -260,9 +274,11 @@ impl LpVerifier {
             }
             obj[out_off + r] = 1.0;
             base.set_objective(&obj);
-            let res = match &warm {
-                Some(w) => base.solve_warm(w),
-                None => base.solve(),
+            let res = match (&warm, self.dense_oracle) {
+                (Some(w), false) => base.solve_warm(w),
+                (None, false) => base.solve(),
+                (Some(w), true) => base.solve_warm_dense(w),
+                (None, true) => base.solve_dense(),
             };
             obj[out_off + r] = 0.0;
             match res {

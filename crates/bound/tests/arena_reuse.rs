@@ -12,7 +12,7 @@
 
 use abonn_bound::{Analysis, AppVer, DeepPoly, InputBox, SplitSet, SplitSign};
 use abonn_nn::{AffinePair, CanonicalNetwork};
-use abonn_tensor::{reference_kernels, set_reference_kernels, Matrix};
+use abonn_tensor::{oracle, Matrix};
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -181,12 +181,9 @@ fn runs_of(skip: &[bool]) -> Vec<(usize, usize)> {
 }
 
 /// Degenerate kernel shapes — 0-row, 0-col, 0-width, and 1×N panels —
-/// through every hot entry point, on both substrates. The toggle is
-/// process-global, but that is benign even if another test runs
-/// concurrently: the substrates are bit-identical, so a mid-test flip
-/// cannot change any result.
+/// through every production entry point, each against its oracle.
 #[test]
-fn degenerate_shapes_match_across_substrates() {
+fn degenerate_shapes_match_the_oracles() {
     let shapes = [
         (0usize, 3usize, 4usize),
         (3, 0, 4),
@@ -201,41 +198,27 @@ fn degenerate_shapes_match_across_substrates() {
         let mut rng = SmallRng::seed_from_u64((m * 31 + k * 7 + n) as u64);
         let a = Matrix::from_fn(m, k, |_, _| rng.gen_range(-1.0..1.0));
         let w = Matrix::from_fn(k, n, |_, _| rng.gen_range(-1.0..1.0));
-        let bt = Matrix::from_fn(n, k, |_, _| rng.gen_range(-1.0..1.0));
         let bias: Vec<f64> = (0..k).map(|_| rng.gen_range(-1.0..1.0)).collect();
         let consts0: Vec<f64> = (0..m).map(|_| rng.gen_range(-1.0..1.0)).collect();
         let skip: Vec<bool> = (0..k).map(|_| rng.gen_range(0..3) == 0).collect();
-        let runs = runs_of(&skip);
-
-        let run_all = || {
-            let mut out = Matrix::zeros(0, 0);
-            let mut bits: Vec<u64> = Vec::new();
-            let mut grab = |m: &Matrix, c: &[f64]| {
-                bits.extend(m.as_slice().iter().map(|v| v.to_bits()));
-                bits.extend(c.iter().map(|v| v.to_bits()));
-            };
-            a.matmul_into(&w, &mut out);
-            grab(&out, &[]);
-            a.matmul_transposed_into(&bt, &mut out);
-            grab(&out, &[]);
-            let mut c = consts0.clone();
-            a.fused_affine_into(&w, &bias, &mut c, &mut out);
-            grab(&out, &c);
-            let mut c = consts0.clone();
-            a.fused_affine_into_masked(&w, &bias, &mut c, &mut out, &skip);
-            grab(&out, &c);
-            let mut c = consts0.clone();
-            a.fused_affine_into_runs(&w, &bias, &mut c, &mut out, &runs);
-            grab(&out, &c);
-            bits
+        let bits = |m: &Matrix, c: &[f64]| -> Vec<u64> {
+            m.as_slice().iter().chain(c).map(|v| v.to_bits()).collect()
         };
 
-        set_reference_kernels(false);
-        let optimized = run_all();
-        set_reference_kernels(true);
-        let reference = run_all();
-        set_reference_kernels(false);
-        assert!(!reference_kernels());
-        assert_eq!(optimized, reference, "shape {m}x{k}x{n}");
+        let mut out = Matrix::from_fn(2, 3, |_, _| 42.0);
+        a.matmul_into(&w, &mut out);
+        assert_eq!(
+            bits(&out, &[]),
+            bits(&oracle::matmul(&a, &w), &[]),
+            "matmul {m}x{k}x{n}"
+        );
+        for mask in [vec![false; k], skip] {
+            let mut c = consts0.clone();
+            a.fused_affine_into_runs(&w, &bias, &mut c, &mut out, &runs_of(&mask));
+            let mut want_c = consts0.clone();
+            let mut want = Matrix::default();
+            oracle::fused_affine_masked(&a, &w, &bias, &mut want_c, &mut want, &mask);
+            assert_eq!(bits(&out, &c), bits(&want, &want_c), "fused {m}x{k}x{n}");
+        }
     }
 }

@@ -4,8 +4,10 @@
 //! campaign is reproducible from its command line and a single failing
 //! case is reproducible from its JSON dump. Every case runs the MCTS
 //! search, the BaB baseline (each with bound cache on/off, LP warm
-//! starting on/off, and on 1 and 4 worker threads), and the CROWN-style
-//! baseline, then cross-checks:
+//! starting on/off, and on 1 and 4 worker threads), the BaB baseline
+//! with the triangle LP as its AppVer (on the revised simplex and on the
+//! dense-tableau oracle), and the CROWN-style baseline, then
+//! cross-checks:
 //!
 //! * **Verdict agreement** — two solved runs must agree (`Timeout` is
 //!   compatible with anything).
@@ -15,9 +17,8 @@
 //!   counts (modulo wall time), identical across cache settings modulo
 //!   wall time and the cache work counters, identical across warm-start
 //!   settings modulo wall time and the LP work counters, and identical
-//!   across kernel/LP substrates (optimized vs `--reference-kernels`)
-//!   modulo wall time and the per-pivot cell counter — including the
-//!   certificate bytes.
+//!   across LP engines (revised vs the dense oracle) modulo wall time and
+//!   the per-pivot cell counter — including the certificate bytes.
 //! * **Certificate audits** — verified runs must produce certificates
 //!   that pass [`crate::audit::audit_certificate`]; timed-out runs must
 //!   produce partial certificates that pass
@@ -27,8 +28,7 @@
 //! radius, drop hidden neurons) before being reported.
 
 use crate::audit::{audit_certificate, audit_partial};
-use abonn_bound::DeepPoly;
-use std::sync::Mutex;
+use abonn_bound::{DeepPoly, LpVerifier};
 use abonn_core::heuristics::HeuristicKind;
 use abonn_core::{
     AbonnConfig, AbonnVerifier, BabBaseline, Budget, Certificate, RobustnessProblem, RunResult,
@@ -168,13 +168,6 @@ pub struct CampaignOutcome {
     pub failures: Vec<(FuzzCase, FuzzFailure)>,
 }
 
-/// Serialises whole-variant-sweep executions: the reference-substrate
-/// variants flip the process-global kernel/LP switches, and a flip
-/// landing mid-sweep in a concurrent `run_case` would perturb that
-/// sweep's `lp_pivot_cells` comparisons (results are substrate-invariant,
-/// the per-pivot work metric deliberately is not).
-static SUBSTRATE_SWEEP: Mutex<()> = Mutex::new(());
-
 const GOLDEN: u64 = 0x9E37_79B9_7F4A_7C15;
 
 /// Deterministically derives case `index` of campaign `seed`.
@@ -274,9 +267,6 @@ struct VariantRun {
 
 /// Runs every engine variant on the case's problem.
 fn run_variants(problem: &RobustnessProblem, budget: &Budget) -> Vec<VariantRun> {
-    let _sweep = SUBSTRATE_SWEEP
-        .lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner);
     let planet = || Arc::new(DeepPoly::planet());
     let abonn = |cache: bool, warm: bool, threads: usize| {
         AbonnVerifier::new(
@@ -343,25 +333,22 @@ fn run_variants(problem: &RobustnessProblem, budget: &Budget) -> Vec<VariantRun>
         result,
         certificate,
     });
-    // Reference-substrate ablations: naive rolled kernels + the dense
-    // simplex engine must reproduce the cache/1t runs exactly (modulo
-    // the per-pivot cell counter).
-    abonn_tensor::set_reference_kernels(true);
-    abonn_lp::set_reference_solver(true);
-    let (result, certificate) = abonn(true, true, 1).verify_with_certificate(problem, budget);
-    runs.push(VariantRun {
-        name: "abonn/cache/1t/ref",
-        result,
-        certificate,
-    });
-    let (result, certificate) = bab(true, true, 1).verify_with_certificate(problem, budget);
-    runs.push(VariantRun {
-        name: "bab/cache/1t/ref",
-        result,
-        certificate,
-    });
-    abonn_tensor::set_reference_kernels(false);
-    abonn_lp::set_reference_solver(false);
+    // LP-engine ablation: the BaB baseline bounding with the triangle LP,
+    // once on the revised simplex and once on the dense-tableau oracle.
+    for (name, lp) in [
+        ("bab/lp/1t", LpVerifier::new()),
+        ("bab/lp/1t/dense", LpVerifier::new().with_dense_oracle()),
+    ] {
+        let b = BabBaseline::new(HeuristicKind::DeepSplit, Arc::new(lp));
+        let (result, certificate) = b
+            .with_pool(Arc::new(WorkerPool::new(1)))
+            .verify_with_certificate(problem, budget);
+        runs.push(VariantRun {
+            name,
+            result,
+            certificate,
+        });
+    }
     runs
 }
 
@@ -393,9 +380,8 @@ fn strip_warm_counters(mut s: RunStats) -> RunStats {
     s
 }
 
-/// The reference substrate (rolled kernels, dense simplex) must
-/// reproduce every counter except the per-pivot work metric — the dense
-/// engine rewrites more cells per basis change by design.
+/// The dense LP oracle must reproduce every counter except the per-pivot
+/// work metric — it rewrites more cells per basis change by design.
 fn strip_substrate_counters(mut s: RunStats) -> RunStats {
     s.wall = Duration::ZERO;
     s.lp_pivot_cells = 0;
@@ -527,31 +513,29 @@ pub fn run_case(case: &FuzzCase) -> Result<CaseReport, FuzzFailure> {
         }
     }
 
-    // Identical across substrates modulo per-pivot cells, down to the
+    // Identical across LP engines modulo per-pivot cells, down to the
     // certificate bytes.
-    for (a, b) in [(0usize, 9usize), (3, 10)] {
-        let (ra, rb) = (&runs[a], &runs[b]);
-        if strip_substrate_counters(ra.result.stats) != strip_substrate_counters(rb.result.stats) {
-            return Err(fail(
-                FailureKind::StatsMismatch,
-                format!(
-                    "{} vs {}: {:?} != {:?}",
-                    ra.name, rb.name, ra.result.stats, rb.result.stats
-                ),
-            ));
-        }
-        if ra.result.verdict != rb.result.verdict {
-            return Err(fail(
-                FailureKind::VerdictDisagreement,
-                format!("{} vs {}: the substrate changed the verdict", ra.name, rb.name),
-            ));
-        }
-        if ra.certificate != rb.certificate {
-            return Err(fail(
-                FailureKind::CertificateRejected,
-                format!("{} vs {}: the substrate changed the certificate", ra.name, rb.name),
-            ));
-        }
+    let (ra, rb) = (&runs[9], &runs[10]);
+    if strip_substrate_counters(ra.result.stats) != strip_substrate_counters(rb.result.stats) {
+        return Err(fail(
+            FailureKind::StatsMismatch,
+            format!(
+                "{} vs {}: {:?} != {:?}",
+                ra.name, rb.name, ra.result.stats, rb.result.stats
+            ),
+        ));
+    }
+    if ra.result.verdict != rb.result.verdict {
+        return Err(fail(
+            FailureKind::VerdictDisagreement,
+            format!("{} vs {}: the LP engine changed the verdict", ra.name, rb.name),
+        ));
+    }
+    if ra.certificate != rb.certificate {
+        return Err(fail(
+            FailureKind::CertificateRejected,
+            format!("{} vs {}: the LP engine changed the certificate", ra.name, rb.name),
+        ));
     }
 
     // Certificate audits.

@@ -3,7 +3,7 @@
 
 use crate::lexer::{is_ident, SourceLine};
 use crate::passes;
-use crate::syntax::FileIndex;
+use crate::syntax::{FileIndex, TokenKind};
 
 /// How bad a finding is. Both severities fail the CI gate when not
 /// baselined; the tier feeds reports and the SARIF `level`.
@@ -201,6 +201,15 @@ pub fn default_rules() -> Vec<Rule> {
             allow_files: &[],
             severity: Severity::Error,
             check: passes::check_float_reduction_order,
+        },
+        Rule {
+            name: "global-mutable-state",
+            summary: "no process-wide mutable statics in engine crates: a concurrent \
+                      daemon must never share a switch or cache between queries",
+            scopes: ENGINE_SRC,
+            allow_files: &[],
+            severity: Severity::Error,
+            check: check_global_mutable_state,
         },
     ]
 }
@@ -459,4 +468,74 @@ fn brace_delta(code: &str) -> isize {
         }
     }
     d
+}
+
+/// Type names that make a `static` process-wide mutable state: the
+/// `Atomic*` family is matched by prefix.
+const INTERIOR_MUTABLE: &[&str] = &[
+    "Mutex", "RwLock", "Cell", "RefCell", "OnceLock", "OnceCell", "LazyLock",
+];
+
+/// Flags `static` items whose type is interior-mutable. Statics inside a
+/// `thread_local! { .. }` block (per-thread, never shared) and in test
+/// code are exempt.
+fn check_global_mutable_state(file: &SourceFile<'_>, out: &mut Vec<Finding>) {
+    let idx = file.syntax;
+    let toks = &idx.tokens;
+    for (i, t) in toks.iter().enumerate() {
+        if !t.is_ident("static") || idx.in_test(i) || in_thread_local(idx, i) {
+            continue;
+        }
+        // `static [mut] NAME: TYPE = ..;` — the type runs from the colon
+        // to the `=` (or `;`).
+        let mut j = i + 1;
+        if toks.get(j).is_some_and(|t| t.is_ident("mut")) {
+            j += 1;
+        }
+        let Some(name) = toks.get(j).filter(|t| t.kind == TokenKind::Ident) else {
+            continue;
+        };
+        if !toks.get(j + 1).is_some_and(|t| t.is_punct(':')) {
+            continue;
+        }
+        let ty = toks[j + 2..]
+            .iter()
+            .take_while(|t| !t.is_punct('=') && !t.is_punct(';'))
+            .find(|t| {
+                t.kind == TokenKind::Ident
+                    && (t.text.starts_with("Atomic") || INTERIOR_MUTABLE.contains(&t.text.as_str()))
+            });
+        if let Some(ty) = ty {
+            out.push(Finding {
+                rule: "global-mutable-state".to_string(),
+                path: file.path.to_string(),
+                line: t.line,
+                message: format!(
+                    "`static {}` holds process-wide mutable state (`{}`); pass it as a \
+                     parameter or a per-instance field so concurrent queries cannot \
+                     observe each other",
+                    name.text, ty.text
+                ),
+                severity: Severity::Error,
+                fingerprint: String::new(),
+            });
+        }
+    }
+}
+
+/// Is token `i` inside a `thread_local! { .. }` invocation?
+fn in_thread_local(idx: &FileIndex, i: usize) -> bool {
+    let mut block = Some(idx.innermost_block(i));
+    while let Some(b) = block {
+        let open = idx.blocks[b].open;
+        if open >= 2
+            && idx.tokens[open].is_punct('{')
+            && idx.tokens[open - 1].is_punct('!')
+            && idx.tokens[open - 2].is_ident("thread_local")
+        {
+            return true;
+        }
+        block = idx.blocks[b].parent;
+    }
+    false
 }

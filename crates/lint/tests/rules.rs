@@ -277,6 +277,87 @@ fn nondeterministic_api_suppressed() {
     );
 }
 
+// ------------------------------------------------------- global-mutable-state
+
+#[test]
+fn global_mutable_state_violating() {
+    expect_findings(
+        "crates/tensor/src/x.rs",
+        "use std::sync::atomic::{AtomicBool, Ordering};\n\
+         static REFERENCE: AtomicBool = AtomicBool::new(false);\n\
+         pub(crate) static SWEEP: std::sync::Mutex<()> = std::sync::Mutex::new(());\n\
+         pub static CACHE: OnceLock<Vec<f64>> = OnceLock::new();\n\
+         static mut HITS: Option<RefCell<u64>> = None;\n",
+        &[
+            "global-mutable-state",
+            "global-mutable-state",
+            "global-mutable-state",
+            "global-mutable-state",
+        ],
+    );
+    let out = lint_source(
+        "crates/lp/src/x.rs",
+        "static COUNT: AtomicUsize = AtomicUsize::new(0);\n",
+    );
+    assert_eq!(out.findings.len(), 1);
+    assert_eq!(out.findings[0].line, 1);
+    assert!(out.findings[0].message.contains("`static COUNT`"));
+    assert!(out.findings[0].message.contains("`AtomicUsize`"));
+}
+
+#[test]
+fn global_mutable_state_clean() {
+    // Immutable statics, consts, `'static` lifetimes and locals are fine.
+    expect_clean(
+        "crates/bound/src/x.rs",
+        "static NAMES: &[&str] = &[\"a\"];\n\
+         const LIMIT: usize = 4;\n\
+         fn f(s: &'static str) -> Mutex<u8> { let m = Mutex::new(0); m }\n",
+    );
+    // Test code may keep a fixture lock.
+    expect_clean(
+        "crates/check/src/x.rs",
+        "#[cfg(test)]\n\
+         mod tests {\n\
+             static SERIAL: std::sync::Mutex<()> = std::sync::Mutex::new(());\n\
+         }\n",
+    );
+    // Outside the engine crates the rule does not apply.
+    expect_clean(
+        "crates/bench/src/x.rs",
+        "static LOG: Mutex<Vec<u8>> = Mutex::new(Vec::new());\n",
+    );
+}
+
+#[test]
+fn global_mutable_state_exempts_thread_locals() {
+    expect_clean(
+        "crates/bound/src/arena.rs",
+        "thread_local! {\n\
+             static POOL: Cell<Option<Box<BoundArena>>> = const { Cell::new(None) };\n\
+         }\n",
+    );
+    // A thread-local does not exempt a shared static next to it.
+    expect_findings(
+        "crates/bound/src/arena.rs",
+        "thread_local! {\n\
+             static POOL: Cell<u8> = const { Cell::new(0) };\n\
+         }\n\
+         static SHARED: Mutex<u8> = Mutex::new(0);\n",
+        &["global-mutable-state"],
+    );
+}
+
+#[test]
+fn global_mutable_state_suppressed() {
+    expect_suppressed(
+        "crates/serve/src/x.rs",
+        "// lint: allow(global-mutable-state, fixture: write-once interner, never read by a verdict path)\n\
+         static NAMES: OnceLock<Vec<String>> = OnceLock::new();\n",
+        "global-mutable-state",
+    );
+}
+
 // ------------------------------------------------------- suppression meta
 
 #[test]

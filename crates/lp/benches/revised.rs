@@ -51,7 +51,7 @@ fn bench_pivot_engines(c: &mut Criterion) {
     let mut revised_cells = 0usize;
     for p in &problems {
         let d = p.solve_dense().expect("bench problems are well-formed");
-        let r = p.solve_revised().expect("bench problems are well-formed");
+        let r = p.solve().expect("bench problems are well-formed");
         assert_eq!(d.status, r.status, "engines must agree on the fixture");
         dense_pivots += d.pivots;
         dense_cells += d.pivot_cells;
@@ -82,7 +82,7 @@ fn bench_pivot_engines(c: &mut Criterion) {
         bench.iter(|| {
             let mut acc = 0.0;
             for p in &problems {
-                acc += black_box(p).solve_revised().unwrap().objective;
+                acc += black_box(p).solve().unwrap().objective;
             }
             black_box(acc)
         })

@@ -29,5 +29,4 @@
 mod revised;
 mod simplex;
 
-pub use revised::{reference_solver, set_reference_solver};
 pub use simplex::{Problem, Relation, Sense, Solution, SolveError, Status, WarmStart};

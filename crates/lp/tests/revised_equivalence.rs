@@ -67,7 +67,7 @@ proptest! {
     ) {
         let p = build_lp(n, sense_raw, &objective_raw, &rows_raw);
         let dense = p.solve_dense().unwrap();
-        let revised = p.solve_revised().unwrap();
+        let revised = p.solve().unwrap();
         prop_assert_eq!(dense.status, revised.status);
         if dense.status == Status::Optimal {
             prop_assert_eq!(
@@ -103,7 +103,7 @@ proptest! {
     ) {
         let mut p = build_lp(n, sense_raw, &objective_raw, &rows_raw);
         let dense0 = p.solve_dense().unwrap();
-        let revised0 = p.solve_revised().unwrap();
+        let revised0 = p.solve().unwrap();
         prop_assert_eq!(dense0.status, revised0.status);
         let (Some(dw), Some(rw)) = (dense0.warm, revised0.warm) else {
             // No snapshot (non-optimal, or an artificial was left basic):
@@ -114,7 +114,7 @@ proptest! {
         let hi = 2.0 - f64::from(tighten_amt) / 4.0;
         p.set_bounds(j, -2.0, hi);
         let dense = p.solve_warm_dense(&dw).unwrap();
-        let revised = p.solve_warm_revised(&rw).unwrap();
+        let revised = p.solve_warm(&rw).unwrap();
         prop_assert_eq!(dense.status, revised.status);
         if dense.status == Status::Optimal {
             prop_assert_eq!(

@@ -919,4 +919,21 @@ mod tests {
         assert!(lines[2].starts_with(r#"{"id":2,"status":"error","error":"invalid model: "#));
         assert!(lines[3].contains(r#""status":"ok""#), "got: {}", lines[3]);
     }
+
+    #[test]
+    fn raw_control_character_is_invalid_json_and_the_session_continues() {
+        let session = "{\"id\":\"a\u{1}b\",\"cmd\":\"stats\"}\n{\"id\":2,\"cmd\":\"stats\"}\n";
+        let mut server = Server::new(ServerConfig::default());
+        let mut out = Vec::new();
+        let mut input = BufReader::new(session.as_bytes());
+        server.run(&mut input, &mut out).unwrap();
+        let out = String::from_utf8(out).unwrap();
+        let lines: Vec<&str> = out.lines().collect();
+        assert_eq!(lines.len(), 2, "one response per line: {out}");
+        assert_eq!(
+            lines[0],
+            r#"{"id":null,"status":"error","error":"invalid JSON: control character in string at byte 8"}"#
+        );
+        assert!(lines[1].starts_with(r#"{"id":2,"status":"ok""#), "got: {}", lines[1]);
+    }
 }

@@ -5,6 +5,8 @@
 //! inference and training) only needs small, dense, double-precision
 //! matrices and vectors, so this crate provides exactly that: a row-major
 //! [`Matrix`] plus a set of slice-based vector helpers in [`vecops`].
+//! The naive loops the tiled kernels must reproduce bit for bit are kept
+//! in [`oracle`] for tests to compare against.
 //!
 //! # Examples
 //!
@@ -18,9 +20,10 @@
 
 pub mod kernels;
 mod matrix;
+pub mod oracle;
 pub mod vecops;
 
-pub use kernels::{reference_kernels, set_reference_kernels, ShapeError};
+pub use kernels::ShapeError;
 pub use matrix::Matrix;
 
 /// Absolute tolerance used by the approximate comparisons in this workspace.

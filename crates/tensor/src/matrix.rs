@@ -245,8 +245,8 @@ impl Matrix {
     }
 
     /// Matrix–matrix product `self * rhs` using the cache-friendly `ikj`
-    /// loop order (cache-blocked over `k` on the default substrate, with
-    /// the summation order per output element unchanged).
+    /// loop order (register-tiled, with the summation order per output
+    /// element that of [`oracle::matmul`](crate::oracle::matmul)).
     ///
     /// # Panics
     ///
@@ -298,276 +298,25 @@ impl Matrix {
         Ok(())
     }
 
-    /// Shared unchecked matmul body: the reference `ikj` loop or the
-    /// blocked kernel, selected by the substrate switch.
+    /// Shared unchecked matmul body: the register-tiled `ikj` kernel.
     fn matmul_body(&self, rhs: &Matrix, out: &mut Matrix) {
         out.resize_zeroed(self.rows, rhs.cols);
-        if kernels::reference_kernels() {
-            for i in 0..self.rows {
-                for k in 0..self.cols {
-                    let a = self.data[i * self.cols + k];
-                    if a == 0.0 {
-                        continue;
-                    }
-                    let rrow = &rhs.data[k * rhs.cols..(k + 1) * rhs.cols];
-                    let orow = &mut out.data[i * rhs.cols..(i + 1) * rhs.cols];
-                    for (o, &r) in orow.iter_mut().zip(rrow) {
-                        *o += a * r;
-                    }
-                }
-            }
-        } else {
-            kernels::matmul_blocked(&self.data, self.cols, &rhs.data, rhs.cols, &mut out.data);
-        }
+        kernels::matmul_blocked(&self.data, self.cols, &rhs.data, rhs.cols, &mut out.data);
     }
 
-    /// Matrix product `self * rhs_t^T` where `rhs_t` holds the right-hand
-    /// operand already transposed (row `j` of `rhs_t` is column `j` of the
-    /// logical right operand). Both operands are then walked row-major, so
-    /// the inner kernel is a contiguous dot product; columns of the output
-    /// are processed in blocks to keep the active `rhs_t` panel in cache.
+    /// Fused affine back-substitution step over column runs: computes
+    /// `self * weight` into `out` while accumulating `self * bias` into
+    /// `consts`, in one pass over `self` — the inner step of DeepPoly
+    /// back-substitution (`A ← A·W`, `c ← c + A·b`) without the
+    /// intermediate products. Only the columns of `self` covered by
+    /// `runs` (ascending, disjoint, half-open `(start, end)` pairs)
+    /// participate; whole masked column blocks are skipped structurally.
     ///
-    /// Each output entry is a single left-to-right dot over `k`, the same
-    /// summation order `matmul` produces for that entry, so
-    /// `a.matmul_transposed(&b.transpose())` is bit-for-bit `a.matmul(&b)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `self.cols() != rhs_t.cols()`.
-    #[must_use]
-    pub fn matmul_transposed(&self, rhs_t: &Matrix) -> Matrix {
-        let mut out = Matrix::zeros(0, 0);
-        self.matmul_transposed_into(rhs_t, &mut out);
-        out
-    }
-
-    /// Like [`matmul_transposed`](Self::matmul_transposed) but writes into
-    /// `out`, reusing its allocation. `out` must not alias the operands.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `self.cols() != rhs_t.cols()`.
-    pub fn matmul_transposed_into(&self, rhs_t: &Matrix, out: &mut Matrix) {
-        if let Err(e) = self.try_matmul_transposed_into(rhs_t, out) {
-            panic!("{e}");
-        }
-    }
-
-    /// Checked [`matmul_transposed_into`](Self::matmul_transposed_into).
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`ShapeError`] if `self.cols() != rhs_t.cols()`.
-    pub fn try_matmul_transposed_into(
-        &self,
-        rhs_t: &Matrix,
-        out: &mut Matrix,
-    ) -> Result<(), ShapeError> {
-        kernels::check_matmul_transposed(
-            "matmul_transposed_into",
-            self.rows,
-            self.cols,
-            rhs_t.rows,
-            rhs_t.cols,
-        )?;
-        const BLOCK: usize = 32;
-        out.resize_zeroed(self.rows, rhs_t.rows);
-        let n = rhs_t.rows;
-        if !kernels::reference_kernels() {
-            kernels::matmul_transposed_blocked(&self.data, self.cols, &rhs_t.data, n, &mut out.data);
-            return Ok(());
-        }
-        let mut jb = 0;
-        while jb < n {
-            let je = (jb + BLOCK).min(n);
-            for i in 0..self.rows {
-                let arow = self.row(i);
-                let orow = &mut out.data[i * n..(i + 1) * n];
-                for (j, o) in orow.iter_mut().enumerate().take(je).skip(jb) {
-                    *o = crate::vecops::dot(arow, rhs_t.row(j));
-                }
-            }
-            jb = je;
-        }
-        Ok(())
-    }
-
-    /// Fused affine back-substitution step: computes `self * weight` into
-    /// `out` while accumulating `self * bias` into `consts`, in one pass
-    /// over `self`. This is the inner step of DeepPoly back-substitution
-    /// (`A ← A·W`, `c ← c + A·b`) without the intermediate products.
-    ///
-    /// Bit-for-bit contract: `out` matches `self.matmul(weight)` (same
-    /// per-element `k`-ascending summation order; see the `kernels`
-    /// module docs for the zero-coefficient fine print), and each
-    /// `consts[i]` receives exactly `dot(self.row(i), bias)` added once,
-    /// matching a plain left-to-right dot.
-    ///
-    /// # Panics
-    ///
-    /// Panics on any shape mismatch between `self`, `weight`, `bias`, and
-    /// `consts`.
-    pub fn fused_affine_into(
-        &self,
-        weight: &Matrix,
-        bias: &[f64],
-        consts: &mut [f64],
-        out: &mut Matrix,
-    ) {
-        if let Err(e) = self.try_fused_affine_into(weight, bias, consts, out) {
-            panic!("{e}");
-        }
-    }
-
-    /// Checked [`fused_affine_into`](Self::fused_affine_into).
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`ShapeError`] on any shape mismatch between `self`,
-    /// `weight`, `bias`, and `consts`.
-    pub fn try_fused_affine_into(
-        &self,
-        weight: &Matrix,
-        bias: &[f64],
-        consts: &mut [f64],
-        out: &mut Matrix,
-    ) -> Result<(), ShapeError> {
-        kernels::check_fused_affine(
-            "fused_affine_into",
-            self.rows,
-            self.cols,
-            weight.rows,
-            weight.cols,
-            bias.len(),
-            consts.len(),
-        )?;
-        out.resize_zeroed(self.rows, weight.cols);
-        if !kernels::reference_kernels() {
-            kernels::fused_affine_flat(
-                &self.data,
-                self.cols,
-                &weight.data,
-                weight.cols,
-                bias,
-                consts,
-                &mut out.data,
-            );
-            return Ok(());
-        }
-        for (i, cslot) in consts.iter_mut().enumerate() {
-            let mut c = 0.0;
-            let arow = &self.data[i * self.cols..(i + 1) * self.cols];
-            for (k, (&a, &b)) in arow.iter().zip(bias).enumerate() {
-                c += a * b;
-                if a == 0.0 {
-                    continue;
-                }
-                let wrow = &weight.data[k * weight.cols..(k + 1) * weight.cols];
-                let orow = &mut out.data[i * weight.cols..(i + 1) * weight.cols];
-                for (o, &w) in orow.iter_mut().zip(wrow) {
-                    *o += a * w;
-                }
-            }
-            *cslot += c;
-        }
-        Ok(())
-    }
-
-    /// Masked variant of [`fused_affine_into`](Self::fused_affine_into):
-    /// columns of `self` flagged in `skip` are dropped entirely — they
-    /// contribute to neither the matmul nor the bias accumulation, as if
-    /// `self`'s entry, `weight`'s row, and `bias`'s entry were all absent.
-    ///
-    /// Callers must guarantee the skipped coefficients are semantically
-    /// zero (back-substitution uses this for neurons whose ReLU relaxation
-    /// is identically zero). Relative to the unmasked kernel with actual
-    /// `±0.0` coefficients the only representable difference is the sign
-    /// of a zero constant term, since the unmasked path still adds
-    /// `±0.0 * bias[k]` into the accumulator.
-    ///
-    /// # Panics
-    ///
-    /// Panics on any shape mismatch, including `skip.len() != self.cols()`.
-    pub fn fused_affine_into_masked(
-        &self,
-        weight: &Matrix,
-        bias: &[f64],
-        consts: &mut [f64],
-        out: &mut Matrix,
-        skip: &[bool],
-    ) {
-        if let Err(e) = self.try_fused_affine_into_masked(weight, bias, consts, out, skip) {
-            panic!("{e}");
-        }
-    }
-
-    /// Checked [`fused_affine_into_masked`](Self::fused_affine_into_masked).
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`ShapeError`] on any shape mismatch, including
-    /// `skip.len() != self.cols()`.
-    pub fn try_fused_affine_into_masked(
-        &self,
-        weight: &Matrix,
-        bias: &[f64],
-        consts: &mut [f64],
-        out: &mut Matrix,
-        skip: &[bool],
-    ) -> Result<(), ShapeError> {
-        kernels::check_fused_affine(
-            "fused_affine_into_masked",
-            self.rows,
-            self.cols,
-            weight.rows,
-            weight.cols,
-            bias.len(),
-            consts.len(),
-        )?;
-        kernels::check_skip_len("fused_affine_into_masked", skip.len(), self.cols)?;
-        out.resize_zeroed(self.rows, weight.cols);
-        if !kernels::reference_kernels() {
-            kernels::fused_affine_flat_masked(
-                &self.data,
-                self.cols,
-                &weight.data,
-                weight.cols,
-                bias,
-                consts,
-                &mut out.data,
-                skip,
-            );
-            return Ok(());
-        }
-        for (i, cslot) in consts.iter_mut().enumerate() {
-            let mut c = 0.0;
-            let arow = &self.data[i * self.cols..(i + 1) * self.cols];
-            for (k, (&a, &b)) in arow.iter().zip(bias).enumerate() {
-                if skip[k] {
-                    continue;
-                }
-                c += a * b;
-                if a == 0.0 {
-                    continue;
-                }
-                let wrow = &weight.data[k * weight.cols..(k + 1) * weight.cols];
-                let orow = &mut out.data[i * weight.cols..(i + 1) * weight.cols];
-                for (o, &w) in orow.iter_mut().zip(wrow) {
-                    *o += a * w;
-                }
-            }
-            *cslot += c;
-        }
-        Ok(())
-    }
-
-    /// Block-sparse variant of
-    /// [`fused_affine_into_masked`](Self::fused_affine_into_masked): the
-    /// participating columns are given as ascending, disjoint, half-open
-    /// `(start, end)` runs instead of a per-column mask, so whole masked
-    /// column blocks are skipped structurally. With `runs` equal to the
-    /// maximal unmasked intervals of a skip mask the result is bit-for-bit
-    /// identical to the masked kernel.
+    /// With `runs` equal to the maximal unmasked intervals of a skip mask
+    /// the result is bit-for-bit identical to
+    /// [`oracle::fused_affine_masked`](crate::oracle::fused_affine_masked)
+    /// on that mask (see the `kernels` module docs for the
+    /// zero-coefficient fine print).
     ///
     /// # Panics
     ///
@@ -832,7 +581,7 @@ impl fmt::Debug for Matrix {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::approx_eq;
+    use crate::{approx_eq, oracle};
     use proptest::prelude::*;
 
     #[test]
@@ -904,24 +653,6 @@ mod tests {
             .prop_map(move |v| Matrix::from_vec(rows, cols, v))
     }
 
-    /// The pre-optimization `ikj` matmul, written against the public API
-    /// so it cannot share code (or bugs) with either substrate path.
-    fn matmul_reference(a: &Matrix, b: &Matrix) -> Matrix {
-        let mut out = Matrix::zeros(a.rows(), b.cols());
-        for i in 0..a.rows() {
-            for k in 0..a.cols() {
-                let av = a.row(i)[k];
-                if av == 0.0 {
-                    continue;
-                }
-                for j in 0..b.cols() {
-                    out.row_mut(i)[j] += av * b.row(k)[j];
-                }
-            }
-        }
-        out
-    }
-
     fn assert_bits_eq(got: &Matrix, want: &Matrix) {
         assert_eq!((got.rows(), got.cols()), (want.rows(), want.cols()));
         for (u, v) in got.as_slice().iter().zip(want.as_slice()) {
@@ -936,7 +667,7 @@ mod tests {
     }
 
     #[test]
-    fn blocked_matmul_is_bit_identical_to_reference_across_block_boundaries() {
+    fn blocked_matmul_is_bit_identical_to_oracle_across_block_boundaries() {
         // Shapes straddle the KBLOCK=64 boundary (1 block, exactly 1
         // block, several blocks) plus degenerate 0-extent cases.
         for &(m, k, n) in &[
@@ -950,56 +681,10 @@ mod tests {
         ] {
             let a = seeded(m, k, 1);
             let b = seeded(k, n, 5);
-            assert_bits_eq(&a.matmul(&b), &matmul_reference(&a, &b));
+            assert_bits_eq(&a.matmul(&b), &oracle::matmul(&a, &b));
             let mut out = Matrix::from_fn(2, 9, |_, _| 42.0);
             a.matmul_into(&b, &mut out);
-            assert_bits_eq(&out, &matmul_reference(&a, &b));
-        }
-    }
-
-    /// Restores the optimized substrate even if the test body panics.
-    struct SubstrateGuard;
-    impl Drop for SubstrateGuard {
-        fn drop(&mut self) {
-            crate::kernels::set_reference_kernels(false);
-        }
-    }
-
-    #[test]
-    fn reference_kernel_switch_reproduces_optimized_results() {
-        // Both substrate paths are bit-identical by construction, so
-        // concurrently running tests are unaffected by this toggle; this
-        // test pins the equivalence for every dispatched entry point.
-        let _guard = SubstrateGuard;
-        let a = seeded(9, 130, 2);
-        let w = seeded(130, 11, 3);
-        let bias: Vec<f64> = (0..130).map(|k| ((k * 5 + 1) % 9) as f64 - 4.0).collect();
-        let skip: Vec<bool> = (0..130).map(|k| k % 3 == 0 || (17..40).contains(&k)).collect();
-        let run_all = |reference: bool| {
-            crate::kernels::set_reference_kernels(reference);
-            let mm = a.matmul(&w);
-            let mut mt = Matrix::default();
-            a.matmul_transposed_into(&w.transpose(), &mut mt);
-            let mut fused_c = vec![0.25; 9];
-            let mut fused = Matrix::default();
-            a.fused_affine_into(&w, &bias, &mut fused_c, &mut fused);
-            let mut masked_c = vec![-0.5; 9];
-            let mut masked = Matrix::default();
-            a.fused_affine_into_masked(&w, &bias, &mut masked_c, &mut masked, &skip);
-            crate::kernels::set_reference_kernels(false);
-            (mm, mt, fused_c, fused, masked_c, masked)
-        };
-        let opt = run_all(false);
-        let refk = run_all(true);
-        assert_bits_eq(&opt.0, &refk.0);
-        assert_bits_eq(&opt.1, &refk.1);
-        assert_bits_eq(&opt.3, &refk.3);
-        assert_bits_eq(&opt.5, &refk.5);
-        for (u, v) in opt.2.iter().zip(&refk.2) {
-            assert_eq!(u.to_bits(), v.to_bits());
-        }
-        for (u, v) in opt.4.iter().zip(&refk.4) {
-            assert_eq!(u.to_bits(), v.to_bits());
+            assert_bits_eq(&out, &oracle::matmul(&a, &b));
         }
     }
 
@@ -1022,6 +707,29 @@ mod tests {
             runs.push((s, skip.len()));
         }
         runs
+    }
+
+    #[test]
+    fn kernels_match_their_oracles_on_a_wide_panel() {
+        // 9 rows leave a remainder below the 4-row tile; 130 columns and
+        // 11 outputs straddle the 16-wide column tile.
+        let a = seeded(9, 130, 2);
+        let w = seeded(130, 11, 3);
+        let bias: Vec<f64> = (0..130).map(|k| ((k * 5 + 1) % 9) as f64 - 4.0).collect();
+        assert_bits_eq(&a.matmul(&w), &oracle::matmul(&a, &w));
+        let masked: Vec<bool> = (0..130).map(|k| k % 3 == 0 || (17..40).contains(&k)).collect();
+        for skip in [vec![false; 130], masked] {
+            let mut want_c = vec![-0.5; 9];
+            let mut want = Matrix::default();
+            oracle::fused_affine_masked(&a, &w, &bias, &mut want_c, &mut want, &skip);
+            let mut got_c = vec![-0.5; 9];
+            let mut got = Matrix::default();
+            a.fused_affine_into_runs(&w, &bias, &mut got_c, &mut got, &runs_of(&skip));
+            assert_bits_eq(&got, &want);
+            for (u, v) in got_c.iter().zip(&want_c) {
+                assert_eq!(u.to_bits(), v.to_bits());
+            }
+        }
     }
 
     #[test]
@@ -1049,7 +757,7 @@ mod tests {
         a.fused_affine_into_runs(&wn, &bias, &mut cn, &mut out, &[(0, 4)]);
         let mut cm = vec![0.5; 3];
         let mut outm = Matrix::default();
-        a.fused_affine_into_masked(&wn, &bias, &mut cm, &mut outm, &[false; 4]);
+        oracle::fused_affine_masked(&a, &wn, &bias, &mut cm, &mut outm, &[false; 4]);
         for (u, v) in cn.iter().zip(&cm) {
             assert_eq!(u.to_bits(), v.to_bits());
         }
@@ -1126,12 +834,12 @@ mod tests {
         }
 
         #[test]
-        fn matmul_transposed_is_bit_identical_to_matmul(
-            a in small_matrix(3, 4),
-            b in small_matrix(4, 5),
+        fn matmul_is_bit_identical_to_oracle(
+            a in small_matrix(6, 19),
+            b in small_matrix(19, 21),
         ) {
-            let out = a.matmul_transposed(&b.transpose());
-            let expect = a.matmul(&b);
+            let out = a.matmul(&b);
+            let expect = oracle::matmul(&a, &b);
             for (u, v) in out.as_slice().iter().zip(expect.as_slice()) {
                 prop_assert_eq!(u.to_bits(), v.to_bits());
             }
@@ -1146,7 +854,7 @@ mod tests {
         ) {
             let mut fused_c = consts.clone();
             let mut out = Matrix::zeros(0, 0);
-            a.fused_affine_into(&w, &bias, &mut fused_c, &mut out);
+            a.fused_affine_into_runs(&w, &bias, &mut fused_c, &mut out, &[(0, 4)]);
             let expect = a.matmul(&w);
             for (u, v) in out.as_slice().iter().zip(expect.as_slice()) {
                 prop_assert_eq!(u.to_bits(), v.to_bits());
@@ -1158,7 +866,7 @@ mod tests {
         }
 
         #[test]
-        fn fused_affine_masked_matches_zeroed_column_reference(
+        fn fused_affine_runs_match_zeroed_column_product(
             a in small_matrix(3, 4),
             w in small_matrix(4, 5),
             bias in proptest::collection::vec(-5.0..5.0_f64, 4),
@@ -1168,7 +876,7 @@ mod tests {
             let skip: Vec<bool> = skip_bits.iter().map(|&b| b == 1).collect();
             let mut masked_c = consts.clone();
             let mut out = Matrix::zeros(0, 0);
-            a.fused_affine_into_masked(&w, &bias, &mut masked_c, &mut out, &skip);
+            a.fused_affine_into_runs(&w, &bias, &mut masked_c, &mut out, &runs_of(&skip));
             // Reference: zero the skipped columns (coefficients and bias)
             // up front, then run the plain kernel. A positive-zero
             // coefficient times a zero bias adds +0.0, which never changes
@@ -1185,7 +893,7 @@ mod tests {
                 .collect();
             let mut ref_c = consts.clone();
             let mut ref_out = Matrix::zeros(0, 0);
-            a_ref.fused_affine_into(&w, &bias_ref, &mut ref_c, &mut ref_out);
+            a_ref.fused_affine_into_runs(&w, &bias_ref, &mut ref_c, &mut ref_out, &[(0, 4)]);
             for (u, v) in out.as_slice().iter().zip(ref_out.as_slice()) {
                 prop_assert_eq!(u.to_bits(), v.to_bits());
             }
@@ -1195,7 +903,7 @@ mod tests {
         }
 
         #[test]
-        fn fused_affine_runs_matches_masked_kernel(
+        fn fused_affine_runs_matches_masked_oracle(
             a in small_matrix(3, 12),
             w in small_matrix(12, 5),
             bias in proptest::collection::vec(-5.0..5.0_f64, 12),
@@ -1206,7 +914,7 @@ mod tests {
             let runs = runs_of(&skip);
             let mut masked_c = consts.clone();
             let mut masked_out = Matrix::default();
-            a.fused_affine_into_masked(&w, &bias, &mut masked_c, &mut masked_out, &skip);
+            oracle::fused_affine_masked(&a, &w, &bias, &mut masked_c, &mut masked_out, &skip);
             let mut runs_c = consts;
             let mut runs_out = Matrix::from_fn(2, 2, |_, _| 42.0);
             a.fused_affine_into_runs(&w, &bias, &mut runs_c, &mut runs_out, &runs);
